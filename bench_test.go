@@ -1,6 +1,7 @@
 // Package irdb's root benchmarks regenerate each experiment's core
 // measurement as a testing.B benchmark (one per table/figure of the
-// paper's reported numbers; see DESIGN.md for the experiment index).
+// paper's reported numbers; see the internal/experiments package doc for
+// the experiment index).
 // cmd/benchrun produces the full report tables; these benches give
 // `go test -bench` visibility into the same code paths.
 package irdb
@@ -173,13 +174,14 @@ func BenchmarkE3Boolean(b *testing.B) {
 }
 
 // BenchmarkE4AuctionStrategyHot: the Figure 3 two-branch strategy, hot
-// (section 3, "about 150ms per request").
+// (section 3, "about 150ms per request"). Each request compiles and
+// optimizes, as experiment E4, the facade and the server do.
 func BenchmarkE4AuctionStrategyHot(b *testing.B) {
 	ctx := auctionCtx(b, 4000)
 	queries := workload.Queries(20, 3, 20000, 44)
 	strat := strategy.Auction(0.7, 0.3)
 	run := func(q string) error {
-		plan, err := strat.Compile(&strategy.Compiler{Query: q})
+		plan, err := strat.CompileOptimized(&strategy.Compiler{Query: q}, ctx)
 		if err != nil {
 			return err
 		}
@@ -276,5 +278,23 @@ func BenchmarkE7ProductionStrategyHot(b *testing.B) {
 		if err := run(queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOptimizeProductionPlan times the optimizer alone on the
+// 5-branch production strategy's compiled plan, the largest plan any
+// experiment runs.
+func BenchmarkOptimizeProductionPlan(b *testing.B) {
+	ctx := auctionCtx(b, 4000)
+	synonyms := text.SynonymDict(workload.Synonyms(20000, 200, 2, 42))
+	query := workload.Queries(1, 3, 20000, 45)[0]
+	plan, err := strategy.Production().Compile(&strategy.Compiler{Query: query, Synonyms: synonyms})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Optimize(plan)
 	}
 }

@@ -1,6 +1,6 @@
-// Command benchrun executes the reproduction experiments E1–E9 (see
-// DESIGN.md for the experiment index) and prints their report tables,
-// optionally as the markdown used in EXPERIMENTS.md.
+// Command benchrun executes the reproduction experiments E1–E9 (see the
+// internal/experiments package doc for the experiment index) and prints
+// their report tables, optionally as markdown.
 //
 // Usage:
 //

@@ -84,27 +84,6 @@
 // (DB.Stats) round out the surface; see api.txt for the pinned listing.
 // examples/quickstart is the canonical tour.
 //
-// # Migration from the internal call patterns
-//
-// Earlier revisions wired internal packages together by hand. The facade
-// replaces those shapes one for one:
-//
-//	catalog.New + triple.NewStore + engine.NewCtx   -> irdb.Open(opts...)
-//	ctx.Parallelism = n                             -> irdb.WithParallelism(n)
-//	cat.Cache().SetMaxBytes(n)                      -> irdb.WithCacheBytes(n)
-//	server admission semaphore                      -> irdb.WithMaxInFlight(n)
-//	store.Load(triples)                             -> db.LoadTriples / db.LoadTriplesTSV
-//	spinql.Eval(src, env, ctx)                      -> db.Query(ctx, src)
-//	spinql.Parse + Compile per request              -> db.Prepare(src); stmt.Query(ctx, params...)
-//	strategy.FromJSON + Compile + engine.NewTopN    -> db.InstallStrategy(json); db.Search(ctx, name, q, k)
-//	ir.NewSearcher(ctx, docsPlan, params).Search    -> db.LoadDocs(docs); db.SearchDocs(ctx, q, k)
-//	spinql.Explain / pra.ToSQL                      -> db.Explain / db.ToSQL
-//
-// At the engine layer, engine.Ctx.Exec and engine.Node.Execute now take
-// a context.Context first; catalog.Cache.GetOrCompute(Aux) does too, and
-// a waiter whose context is cancelled detaches from a single-flight
-// computation without killing it for everyone else.
-//
 // # Execution model
 //
 // The engine executes every operator stage in parallel — independent

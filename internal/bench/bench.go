@@ -243,8 +243,7 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavoured markdown, used to
-// generate EXPERIMENTS.md.
+// Markdown renders the table as GitHub-flavoured markdown (benchrun -md).
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	if t.Title != "" {

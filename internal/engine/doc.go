@@ -39,10 +39,8 @@
 //
 // Compiled plans pass through an optimizer (Optimize / Ctx.Optimize)
 // before execution: selection pushdown below joins and set operators,
-// statically-empty branch elimination, column pruning ahead of
-// materialization, and a memo that picks each hash join's build side
-// from catalog statistics (base-table row counts and dictionary-length
-// distinct bounds). Every rewrite preserves bit-identical results —
+// statically-empty branch elimination, and column pruning ahead of
+// materialization. Every rewrite preserves bit-identical results —
 // values, probabilities and row order — at any parallelism, and every
 // pass is conservative: a rewrite whose legality cannot be proven is
 // skipped. ExplainChange renders the before/after plans;

@@ -1,7 +1,18 @@
-// Package experiments implements the reproduction experiments E1–E9
-// catalogued in DESIGN.md, one per performance claim or figure of the
-// paper. cmd/benchrun drives them; integration tests run them in Quick
-// mode to keep the pipelines honest.
+// Package experiments implements the reproduction experiments E1–E9, one
+// per performance claim or figure of the paper. cmd/benchrun drives them;
+// integration tests run them in Quick mode to keep the pipelines honest.
+//
+// The experiment index:
+//
+//	E1  keyword search latency (section 2.1)
+//	E2  on-demand vertical partitioning (section 2.2)
+//	E3  score propagation overhead (section 2.3)
+//	E4  auction strategy end to end (section 3)
+//	E5  on-demand index construction and reuse (sections 2.1, 3)
+//	E6  relational vs specialized retrieval (references [5],[10])
+//	E7  production strategy ablation (section 3)
+//	E8  concurrent execution and single-flight materialization
+//	E9  dictionary-encoded string columns
 package experiments
 
 import (
@@ -75,7 +86,7 @@ func (r *Result) String() string {
 	return s
 }
 
-// Markdown renders the result for EXPERIMENTS.md.
+// Markdown renders the result as GitHub-flavoured markdown (benchrun -md).
 func (r *Result) Markdown() string {
 	s := fmt.Sprintf("## %s — %s\n\n**Paper claim.** %s\n\n", r.ID, r.Name, r.PaperClaim)
 	for _, t := range r.Tables {

@@ -776,8 +776,6 @@ type OptimizerStats struct {
 	SelectsPushed int64
 	EmptyRewrites int64
 	ColumnsPruned int64
-	JoinsSwapped  int64
-	GroupsCosted  int64
 }
 
 // StatementStats counts the query-processing front end: how many parses
@@ -936,8 +934,6 @@ func (db *DB) Stats() Stats {
 			SelectsPushed: os.SelectsPushed,
 			EmptyRewrites: os.EmptyRewrites,
 			ColumnsPruned: os.ColumnsPruned,
-			JoinsSwapped:  os.JoinsSwapped,
-			GroupsCosted:  os.GroupsCosted,
 		},
 		Statements: StatementStats{
 			Parses:   db.parses.Load(),
